@@ -2,13 +2,31 @@
 //! Appendix B.2 (Table 7), plus an allocation-event counter used to prove
 //! the branch kernel's steady-state loop is allocation-free
 //! (`tests/alloc_free.rs`).
+//!
+//! The byte gauges are process-wide (the memory table measures work spread
+//! over engine threads); the event counter is per thread, so a measurement
+//! window sees only the allocations of the thread that opened it, never
+//! those of sibling tests running concurrently in the same process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    // `const`-initialised and drop-free: the slot needs no lazy
+    // initialisation or destructor registration, so touching it from inside
+    // the allocator can never allocate or recurse.
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation event on the calling thread. `try_with` skips the
+/// count (instead of panicking) once the thread's TLS is being torn down.
+fn count_alloc_event() {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 /// Wraps the system allocator, tracking live bytes, the high-water mark,
 /// and the number of allocation events (alloc + growing realloc).
@@ -19,8 +37,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            // ordering: independent event counter, read only as a gauge.
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            count_alloc_event();
             // ordering: RMW coherence keeps the byte count itself exact.
             let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             // ordering: cross-thread high-water mark is approximate by design.
@@ -39,8 +56,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
             if new_size >= layout.size() {
-                // ordering: independent event counter, read only as a gauge.
-                ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+                count_alloc_event();
                 // ordering: RMW coherence keeps the byte count itself exact.
                 let cur = CURRENT.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
                     - layout.size();
@@ -74,11 +90,11 @@ impl PeakAlloc {
         PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
-    /// Total allocation events (alloc + growing realloc) since process
-    /// start. Diff two readings to count the allocations of a code region.
+    /// Allocation events (alloc + growing realloc) made by the calling
+    /// thread since it started. Diff two readings on one thread to count
+    /// the allocations of a code region run on that thread.
     pub fn alloc_calls() -> usize {
-        // ordering: point-in-time gauge; callers quiesce before reading.
-        ALLOC_CALLS.load(Ordering::Relaxed)
+        ALLOC_CALLS.try_with(Cell::get).unwrap_or(0)
     }
 }
 

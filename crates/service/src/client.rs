@@ -8,7 +8,7 @@
 use crate::protocol::{self, JobId, SubmitArgs};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side failure.
@@ -88,9 +88,7 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
+        Ok(crate::session::write_line(&mut self.writer, line)?)
     }
 
     fn read_line(&mut self) -> Result<String, ClientError> {

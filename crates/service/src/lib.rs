@@ -48,6 +48,7 @@ pub mod journal;
 pub mod protocol;
 pub mod router;
 pub mod server;
+mod session;
 pub mod sync;
 
 pub use auth::{Principal, PrincipalStore};

@@ -37,11 +37,11 @@
 
 use crate::client::{Client, ClientError};
 use crate::protocol::{self, JobId, Request, SubmitArgs};
+use crate::session::{self, write_line, Acceptor, Endpoint, Handler, Session};
 use crate::sync::{OrderedMutex, Rank};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -201,7 +201,8 @@ struct RouterState {
     nodes: OrderedMutex<Vec<Node>>,
     jobs: OrderedMutex<BTreeMap<JobId, Routed>>,
     next_id: AtomicU64,
-    shutdown: AtomicBool,
+    /// Name, tenancy, shutdown flag and connection registry.
+    endpoint: Endpoint,
     /// The prober's configuration (also surfaced in `STATS`); `None` when
     /// probing is disabled.
     probe: Option<ProbeConfig>,
@@ -210,10 +211,6 @@ struct RouterState {
     /// Round-robin cursor spreading `STATUS`/`STREAM` reads over a job's
     /// primary + live replicas.
     read_rr: AtomicU64,
-    /// Principal store; `None` = tenancy disabled.
-    principals: Option<crate::auth::PrincipalStore>,
-    /// Registered tokens, scrubbed from every reply line.
-    secrets: Vec<String>,
     /// The admin token the router presents to backends (first admin in the
     /// store); `None` = anonymous backend connections.
     admin_token: Option<String>,
@@ -300,9 +297,8 @@ pub struct Router {
 
 /// Handle to a router whose accept loop runs in a background thread.
 pub struct RouterHandle {
-    addr: SocketAddr,
+    acceptor: Acceptor,
     state: Arc<RouterState>,
-    accept: Option<std::thread::JoinHandle<()>>,
     prober: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -317,7 +313,6 @@ impl Router {
             }
         }
         let principals = cfg.principals.clone();
-        let secrets = principals.as_ref().map(|s| s.tokens()).unwrap_or_default();
         let admin_token = principals
             .as_ref()
             .and_then(|s| s.admin_token())
@@ -335,12 +330,10 @@ impl Router {
                 nodes: OrderedMutex::new(Rank::RouterNodes, "router-nodes", nodes),
                 jobs: OrderedMutex::new(Rank::RouterJobs, "router-jobs", BTreeMap::new()),
                 next_id: AtomicU64::new(1),
-                shutdown: AtomicBool::new(false),
+                endpoint: Endpoint::new("kplexr", principals),
                 probe: cfg.probe.clone(),
                 replicas: cfg.replicas.max(1),
                 read_rr: AtomicU64::new(0),
-                principals,
-                secrets,
                 admin_token,
             }),
         })
@@ -362,23 +355,18 @@ impl Router {
     /// with the health prober (if configured) in the background.
     pub fn run(self) -> std::io::Result<()> {
         let _prober = self.spawn_prober();
-        accept_loop(&self.listener, &self.state);
+        session::accept_loop(&self.listener, &self.state);
         Ok(())
     }
 
     /// Runs the accept loop in a background thread and returns a handle
     /// (used by tests and the `kplexr smoke`).
     pub fn spawn(self) -> std::io::Result<RouterHandle> {
-        let addr = self.local_addr()?;
         let prober = self.spawn_prober();
-        let state = self.state.clone();
-        let listener = self.listener;
-        let accept_state = state.clone();
-        let accept = std::thread::spawn(move || accept_loop(&listener, &accept_state));
+        let acceptor = Acceptor::spawn(self.listener, self.state.clone())?;
         Ok(RouterHandle {
-            addr,
-            state,
-            accept: Some(accept),
+            acceptor,
+            state: self.state,
             prober,
         })
     }
@@ -387,19 +375,16 @@ impl Router {
 impl RouterHandle {
     /// Where clients connect.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr
     }
 
     /// Stops accepting and joins the accept loop and the prober.
     /// Connection handler threads are detached; they exit as their clients
     /// disconnect. Backends are not touched — they keep running their jobs.
-    pub fn shutdown(mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober.take() {
+    pub fn shutdown(self) {
+        self.state.endpoint.begin_shutdown(false);
+        self.acceptor.join();
+        if let Some(h) = self.prober {
             let _ = h.join();
         }
     }
@@ -418,7 +403,7 @@ fn probe_loop(state: &Arc<RouterState>, cfg: &ProbeConfig) {
     loop {
         let mut slept = Duration::ZERO;
         while slept < cfg.interval {
-            if state.shutdown.load(Ordering::Acquire) {
+            if state.endpoint.shutting_down() {
                 return;
             }
             let step = TICK.min(cfg.interval - slept);
@@ -430,7 +415,7 @@ fn probe_loop(state: &Arc<RouterState>, cfg: &ProbeConfig) {
             nodes.iter().map(|n| n.addr.clone()).collect()
         };
         for addr in targets {
-            if state.shutdown.load(Ordering::Acquire) {
+            if state.endpoint.shutting_down() {
                 return;
             }
             let ok = Client::connect_timeout(addr.as_str(), cfg.timeout, Some(cfg.timeout))
@@ -531,24 +516,6 @@ fn rebalance_queued(state: &Arc<RouterState>) -> usize {
         finish_requeue(state, rid, &args);
     }
     moved
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if state.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let state = state.clone();
-                std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &state);
-                });
-            }
-            Err(_) if state.shutdown.load(Ordering::Acquire) => return,
-            Err(_) => continue,
-        }
-    }
 }
 
 // --- failover ---------------------------------------------------------------
@@ -778,232 +745,65 @@ fn place(state: &Arc<RouterState>, args: &SubmitArgs) -> Result<(String, JobId),
 
 // --- connection handling ----------------------------------------------------
 
-/// [`write_line`] through the token-redaction chokepoint: with a principal
-/// store loaded, every registered token is scrubbed before the line hits
-/// the wire. Streamed NDJSON plex lines deliberately bypass this — they
-/// are numeric-only by construction and form the hot path.
-fn reply_line(writer: &mut TcpStream, state: &RouterState, line: &str) -> std::io::Result<()> {
-    if state.secrets.is_empty() {
-        write_line(writer, line)
-    } else {
-        write_line(writer, &protocol::redact_secrets(line, &state.secrets))
-    }
-}
-
-/// One `write_all` per line (no buffering): streamed results must reach a
-/// live follower promptly even when the backend trickles them out.
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    let mut framed = String::with_capacity(line.len() + 1);
-    framed.push_str(line);
-    framed.push('\n');
-    stream.write_all(framed.as_bytes())
-}
-
-/// `true` when the principal authenticated on this connection (if any) may
-/// see a job owned by `owner`. Tenancy disabled (`auth` is `None` only
-/// happens then, thanks to the verb gate) sees everything; an admin sees
-/// everything; otherwise only the owner.
-fn may_see(auth: &Option<crate::auth::Principal>, owner: Option<&str>) -> bool {
-    match auth {
-        None => true,
-        Some(p) => p.admin || owner == Some(p.name.as_str()),
-    }
-}
-
 /// Pre-proxy visibility check for `STATUS`/`CANCEL`/`STREAM`: an unknown
 /// job is `true` so the proxy path emits its own (identical) error — a
 /// denied tenant cannot distinguish "hidden" from "nonexistent".
-fn visible(state: &RouterState, rid: JobId, auth: &Option<crate::auth::Principal>) -> bool {
-    match lookup(state, rid) {
-        Some(job) => may_see(auth, job.args.principal.as_deref()),
-        None => true,
-    }
+fn visible(state: &RouterState, rid: JobId, viewer: &Session<'_>) -> bool {
+    lookup(state, rid).is_none_or(|job| viewer.may_see(job.args.principal.as_deref()))
 }
 
-fn handle_connection(stream: TcpStream, state: &Arc<RouterState>) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    // Per-connection authentication state (`AUTH <token>`); `None` until
-    // the client authenticates. On a tenancy-disabled router it stays
-    // `None` and every verb passes the gate below.
-    let mut auth: Option<crate::auth::Principal> = None;
-    // Every reply line leaves through this chokepoint so a registered
-    // token can never be echoed back — not in errors, not in proxied
-    // backend messages. Streamed NDJSON plex lines bypass it (they are
-    // numeric-only by construction, and the stream is the hot path).
-    let reply = |writer: &mut TcpStream, line: &str| -> std::io::Result<()> {
-        reply_line(writer, state, line)
-    };
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let req = match protocol::parse_request(&line) {
-            Err(e) => {
-                reply(&mut writer, &format!("ERR {e}"))?;
-                continue;
-            }
-            Ok(req) => req,
-        };
-        // Tenancy gate: with a principal store loaded, everything except
-        // liveness checks and the handshake itself requires `AUTH` first.
-        if state.principals.is_some()
-            && auth.is_none()
-            && !matches!(req, Request::Ping | Request::Quit | Request::Auth(_))
-        {
-            reply(&mut writer, "ERR authentication required (AUTH <token>)")?;
-            continue;
-        }
-        match req {
-            Request::Quit => {
-                reply(&mut writer, "OK bye")?;
-                return Ok(());
-            }
-            Request::Ping => reply(&mut writer, "OK pong")?,
-            Request::Auth(token) => {
-                let resp = match &state.principals {
-                    None => {
-                        "ERR authentication disabled (start kplexr with --principals)".to_string()
-                    }
-                    Some(store) => match store.authenticate(&token) {
-                        Some(p) => {
-                            auth = Some(p.clone());
-                            format!(
-                                "OK principal={} weight={} admin={}",
-                                p.name, p.weight, p.admin
-                            )
-                        }
-                        // Deliberately does not echo the attempted token.
-                        None => "ERR unknown token".to_string(),
-                    },
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::Submit(args) => {
-                let resp = match submit(state, &args, &auth) {
-                    Ok((rid, backend, replicas)) => {
-                        let mut line = format!("OK id={rid} state=queued backend={backend}");
-                        if replicas > 0 {
-                            line.push_str(&format!(" replicas={replicas}"));
-                        }
-                        line
-                    }
-                    Err(e) => format!("ERR {e}"),
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::Status(rid) => {
-                let resp = if visible(state, rid, &auth) {
-                    proxy_status(state, rid)
-                } else {
-                    format!("ERR no such job {rid}")
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::Cancel(rid) => {
-                let resp = if visible(state, rid, &auth) {
-                    proxy_cancel(state, rid)
-                } else {
-                    format!("ERR no such job {rid}")
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::Stream(rid, from) => {
-                if visible(state, rid, &auth) {
-                    proxy_stream(&mut writer, state, rid, from)?;
-                } else {
-                    reply(&mut writer, &format!("ERR no such job {rid}"))?;
-                }
-            }
-            Request::List => list(&mut writer, state, &auth)?,
-            Request::Stats => {
-                let resp = stats(state);
-                reply(&mut writer, &resp)?;
-            }
-            Request::AddNode(addr) => {
-                let resp = if admin_only(&auth) {
-                    add_node(state, &addr)
-                } else {
-                    "ERR topology changes require an admin principal".to_string()
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::DropNode(addr) => {
-                let resp = if admin_only(&auth) {
-                    drop_node(state, &addr)
-                } else {
-                    "ERR topology changes require an admin principal".to_string()
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::Nodes => nodes(&mut writer, state)?,
-            Request::Rebalance => {
-                if admin_only(&auth) {
-                    let moved = rebalance_queued(state);
-                    reply(&mut writer, &format!("OK rebalanced={moved}"))?;
-                } else {
-                    reply(
-                        &mut writer,
-                        "ERR topology changes require an admin principal",
-                    )?;
-                }
-            }
-        }
+impl Handler for RouterState {
+    fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
     }
-    Ok(())
+
+    fn handle(self: &Arc<Self>, session: &mut Session<'_>, req: Request) -> std::io::Result<()> {
+        let resp = match req {
+            Request::Submit(args) => match submit(self, &args, session) {
+                Ok((rid, backend, replicas)) => {
+                    let mut line = format!("OK id={rid} state=queued backend={backend}");
+                    if replicas > 0 {
+                        line.push_str(&format!(" replicas={replicas}"));
+                    }
+                    line
+                }
+                Err(e) => format!("ERR {e}"),
+            },
+            Request::Status(rid) if visible(self, rid, session) => proxy_status(self, rid),
+            Request::Cancel(rid) if visible(self, rid, session) => proxy_cancel(self, rid),
+            Request::Stream(rid, from) if visible(self, rid, session) => {
+                return proxy_stream(session, self, rid, from)
+            }
+            Request::Status(rid) | Request::Cancel(rid) | Request::Stream(rid, _) => {
+                format!("ERR no such job {rid}")
+            }
+            Request::List => return list(session, self),
+            Request::Stats => stats(self),
+            Request::Nodes => return nodes(session, self),
+            Request::AddNode(_) | Request::DropNode(_) | Request::Rebalance
+                if !admin_only(session) =>
+            {
+                "ERR topology changes require an admin principal".to_string()
+            }
+            Request::AddNode(addr) => add_node(self, &addr),
+            Request::DropNode(addr) => drop_node(self, &addr),
+            Request::Rebalance => format!("OK rebalanced={}", rebalance_queued(self)),
+            // Answered by the session layer; never routed here.
+            Request::Ping | Request::Quit | Request::Auth(_) => return Ok(()),
+        };
+        session.reply(&resp)
+    }
 }
 
 /// Topology mutations (`ADDNODE`/`DROPNODE`/`REBALANCE`) are admin-only
 /// once tenancy is on: a non-admin tenant must not be able to drain or
-/// repoint the cluster. Without a store, `auth` is always `None` and
+/// repoint the cluster. Without a store no connection is authenticated and
 /// everything is allowed, as before.
-fn admin_only(auth: &Option<crate::auth::Principal>) -> bool {
-    match auth {
-        None => true,
-        Some(p) => p.admin,
-    }
+fn admin_only(session: &Session<'_>) -> bool {
+    session.principal().is_none_or(|p| p.admin)
 }
 
 // --- request implementations ------------------------------------------------
-
-/// The submission principal the router acts for: the authenticated
-/// principal itself, or — admin only — the principal named by an explicit
-/// `principal=` tag. Mirrors the backend's resolution so edge rejections
-/// and backend rejections agree.
-fn effective_principal(
-    state: &RouterState,
-    args: &SubmitArgs,
-    auth: &Option<crate::auth::Principal>,
-) -> Result<Option<crate::auth::Principal>, String> {
-    let Some(store) = &state.principals else {
-        if args.principal.is_some() {
-            return Err("principal= requires a router started with --principals".into());
-        }
-        return Ok(None);
-    };
-    // The verb gate guarantees an authenticated principal here; keep the
-    // check anyway so this function is safe to call from any path.
-    let Some(me) = auth else {
-        return Err("authentication required (AUTH <token>)".into());
-    };
-    match args.principal.as_deref() {
-        None => Ok(Some(me.clone())),
-        Some(name) if name == me.name => Ok(Some(me.clone())),
-        Some(name) => {
-            if !me.admin {
-                return Err(
-                    "only an admin principal may submit on another principal's behalf".into(),
-                );
-            }
-            store
-                .by_name(name)
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| format!("unknown principal {name:?}"))
-        }
-    }
-}
 
 /// This tenant's routed jobs the router still believes are waiting to run
 /// — the population the edge `max-queued` quota counts. `max-running` is
@@ -1026,13 +826,13 @@ fn queued_jobs_of(state: &RouterState, principal: &str) -> usize {
 fn submit(
     state: &Arc<RouterState>,
     args: &SubmitArgs,
-    auth: &Option<crate::auth::Principal>,
+    session: &Session<'_>,
 ) -> Result<(JobId, String, usize), String> {
-    if state.shutdown.load(Ordering::Acquire) {
+    if state.endpoint.shutting_down() {
         return Err("router shutting down".into());
     }
     let mut args = args.clone();
-    if let Some(p) = effective_principal(state, &args, auth)? {
+    if let Some(p) = session.effective_principal(&args)? {
         // Edge quota: reject before any backend sees the job. Checked
         // against the router's own routed-job records, so a saturating
         // tenant is cut off even when its jobs are spread over many
@@ -1312,7 +1112,7 @@ fn proxy_cancel(state: &Arc<RouterState>, rid: JobId) -> String {
 /// duplicate-free stream; the only surviving failure mode is every
 /// placement dying ([`MAX_PROXY_ATTEMPTS`] times over).
 fn proxy_stream(
-    writer: &mut TcpStream,
+    session: &mut Session<'_>,
     state: &Arc<RouterState>,
     rid: JobId,
     from: u64,
@@ -1320,19 +1120,15 @@ fn proxy_stream(
     let mut next_seq = from;
     for _ in 0..MAX_PROXY_ATTEMPTS {
         let Some(job) = lookup(state, rid) else {
-            return reply_line(writer, state, &format!("ERR no such job {rid}"));
+            return session.reply(&format!("ERR no such job {rid}"));
         };
         if job.error.is_some() {
             // Locally terminated: an empty, well-formed stream.
             let error = job.error.as_deref().unwrap_or("backend_lost");
-            return reply_line(
-                writer,
-                state,
-                &format!(
-                    "END id={rid} state={} results=0 error={error}",
-                    job.last_state
-                ),
-            );
+            return session.reply(&format!(
+                "END id={rid} state={} results=0 error={error}",
+                job.last_state
+            ));
         }
         // Reads rotate over primary + live replicas (each replica runs the
         // same job, so any of them can serve the suffix from `next_seq`).
@@ -1344,6 +1140,7 @@ fn proxy_stream(
         let primary = t_backend == job.backend && t_remote == job.remote_id;
         let mut forwarded = 0u64;
         let mut write_err: Option<std::io::Error> = None;
+        let writer = session.writer();
         // `stream_while_from` aborts (and the connection drops, stopping
         // the backend's producer) as soon as a downstream write fails — the
         // router must not drain a 10^9-result stream nobody is reading.
@@ -1381,21 +1178,17 @@ fn proxy_stream(
                         note_state(state, rid, observed, &job);
                     }
                 }
-                return reply_line(writer, state, &rewrite_fields("END", rid, &end, &t_backend));
+                return session.reply(&rewrite_fields("END", rid, &end, &t_backend));
             }
             Err(ClientError::Remote(msg)) if msg.starts_with("no such job") => {
                 if primary {
-                    return reply_line(
-                        writer,
-                        state,
-                        &format!("ERR results for job {rid} were evicted on {t_backend}"),
-                    );
+                    return session.reply(&format!(
+                        "ERR results for job {rid} were evicted on {t_backend}"
+                    ));
                 }
                 // A replica evicted its copy: rotate to the next target.
             }
-            Err(ClientError::Remote(msg)) => {
-                return reply_line(writer, state, &format!("ERR {msg}"))
-            }
+            Err(ClientError::Remote(msg)) => return session.reply(&format!("ERR {msg}")),
             Err(_) => {
                 // Transport failure mid-stream. The client has consumed
                 // exactly [from, next_seq); fail the backend over and
@@ -1408,21 +1201,17 @@ fn proxy_stream(
             }
         }
     }
-    reply_line(writer, state, &format!("ERR job {rid} unreachable"))
+    session.reply(&format!("ERR job {rid} unreachable"))
 }
 
-fn list(
-    writer: &mut TcpStream,
-    state: &Arc<RouterState>,
-    auth: &Option<crate::auth::Principal>,
-) -> std::io::Result<()> {
+fn list(session: &mut Session<'_>, state: &Arc<RouterState>) -> std::io::Result<()> {
     // Tenant scoping happens on the router's own records before any
     // backend is contacted: a non-admin principal only ever sees (and the
     // router only ever proxies status for) its own jobs.
     let snapshot: Vec<(JobId, Routed)> = {
         let jobs = state.jobs.lock();
         jobs.iter()
-            .filter(|(_, j)| may_see(auth, j.args.principal.as_deref()))
+            .filter(|(_, j)| session.may_see(j.args.principal.as_deref()))
             .map(|(&rid, j)| (rid, j.clone()))
             .collect()
     };
@@ -1459,10 +1248,10 @@ fn list(
                     local_status_line(rid, &job).replacen("OK", "JOB", 1)
                 }
             };
-            reply_line(writer, state, &line)?;
+            session.reply(&line)?;
         }
     }
-    reply_line(writer, state, &format!("END count={count}"))
+    session.reply(&format!("END count={count}"))
 }
 
 fn stats(state: &Arc<RouterState>) -> String {
@@ -1517,7 +1306,7 @@ fn stats(state: &Arc<RouterState>) -> String {
                         line.push_str(&format!(" node{i}-{key}={v}"));
                     }
                 }
-                if state.principals.is_some() {
+                if state.endpoint.principals.is_some() {
                     let mut j = 0usize;
                     while let Some(name) = fields.get(&format!("tenant{j}-name")) {
                         let bytes = fields
@@ -1534,7 +1323,7 @@ fn stats(state: &Arc<RouterState>) -> String {
             Err(_) => mark_backend_dead(state, addr),
         }
     }
-    if let Some(store) = &state.principals {
+    if let Some(store) = &state.endpoint.principals {
         // Per-tenant cluster view: queued/running from the router's own
         // routed-job records (the edge-quota population), bytes from the
         // backends' journalled counters summed above.
@@ -1619,7 +1408,7 @@ fn drop_node(state: &Arc<RouterState>, addr: &str) -> String {
     format!("OK backends={alive}/{}", nodes.len())
 }
 
-fn nodes(writer: &mut TcpStream, state: &Arc<RouterState>) -> std::io::Result<()> {
+fn nodes(session: &mut Session<'_>, state: &Arc<RouterState>) -> std::io::Result<()> {
     let snapshot: Vec<(String, bool, u32, u32)> = {
         let nodes = state.nodes.lock();
         nodes
@@ -1637,15 +1426,12 @@ fn nodes(writer: &mut TcpStream, state: &Arc<RouterState>) -> std::io::Result<()
     };
     for (addr, alive, fails, oks) in &snapshot {
         let jobs = per_backend.get(addr).copied().unwrap_or(0);
-        write_line(
-            writer,
-            &format!(
-                "NODE addr={addr} alive={alive} jobs={jobs} \
-                 probe-fails={fails} probe-oks={oks}"
-            ),
-        )?;
+        session.reply(&format!(
+            "NODE addr={addr} alive={alive} jobs={jobs} \
+             probe-fails={fails} probe-oks={oks}"
+        ))?;
     }
-    write_line(writer, &format!("END count={}", snapshot.len()))
+    session.reply(&format!("END count={}", snapshot.len()))
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! Thread layout (no async runtime — the offline build has std only):
 //!
-//! * the **accept loop** spawns one handler thread per client connection;
+//! * the **accept loop** (the `session` module, shared with `kplexr`) spawns
+//!   one thread per client connection;
 //! * handlers parse line requests; `SUBMIT` pushes onto a **bounded queue**
 //!   (full queue → immediate `ERR`, the back-pressure signal);
 //! * a fixed pool of **runner** threads pops jobs and executes them on the
@@ -36,15 +37,16 @@ use crate::cache::{CacheStats, GraphCache};
 use crate::job::{GraphSource, Job, JobSpec, StopCause, StreamStep};
 use crate::journal::Journal;
 use crate::protocol::{self, JobId, Request, SubmitArgs};
+use crate::session::{self, write_line, Acceptor, Endpoint, Handler, Session};
 use crate::sync::{OrderedCondvar, OrderedMutex, Rank};
 use crate::LoadHook;
 use kplex_core::{prepare, ChannelSink, Params, PlexSink, SinkFlow};
 use kplex_graph::io;
 use kplex_parallel::{run_parallel_prepared, EngineOptions, SchedMetrics};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -292,7 +294,8 @@ struct SharedState {
     queue_cond: OrderedCondvar,
     queue_cap: usize,
     cache: GraphCache,
-    shutdown: AtomicBool,
+    /// Name, tenancy, shutdown flag and connection registry.
+    endpoint: Endpoint,
     default_threads: usize,
     default_store: kplex_graph::StoreKind,
     retain_terminal: usize,
@@ -303,17 +306,6 @@ struct SharedState {
     journal: Option<Journal>,
     /// Jobs replayed from the journal at startup (`STATS recovered=`).
     recovered: usize,
-    /// Live client connections, keyed by an accept-order id. Each handler
-    /// thread removes its own entry on exit, so the map tracks only open
-    /// connections. Exists so [`ServerHandle::kill`] can sever them
-    /// abruptly (crash simulation); the graceful shutdown ignores it.
-    conns: OrderedMutex<BTreeMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
-    /// Principal store; `None` = tenancy disabled (anonymous server).
-    principals: Option<crate::auth::PrincipalStore>,
-    /// Every registered token — scrubbed from every reply line
-    /// ([`protocol::redact_secrets`]). Empty when tenancy is disabled.
-    secrets: Vec<String>,
     /// Cumulative result bytes per principal name (the anonymous key is
     /// `""`). Atomics with a key set **fixed at bind** (principals file ∪
     /// journal replay ∪ anonymous), because the job-terminal hook that
@@ -335,7 +327,7 @@ impl SharedState {
     /// cancelled. Append failures on a live server are logged, not fatal —
     /// the job still runs; only its restart durability degrades.
     fn journal_record(&self, write: impl FnOnce(&Journal) -> std::io::Result<()>) {
-        if self.shutdown.load(Ordering::Acquire) {
+        if self.endpoint.shutting_down() {
             return;
         }
         if let Some(journal) = &self.journal {
@@ -346,46 +338,25 @@ impl SharedState {
     }
 }
 
-/// One connection's authentication state: which principal (if any) has
-/// presented a valid token on this connection.
-#[derive(Clone, Debug, Default)]
-struct ConnAuth {
-    /// `None` before a successful `AUTH` — and always, on a server without
-    /// a principal store (where nothing is gated on it).
-    principal: Option<crate::auth::Principal>,
-}
-
-impl ConnAuth {
-    /// May this connection observe a job owned by `owner`? Only meaningful
-    /// after the auth gate: on a tenancy-enabled server an unauthenticated
-    /// connection never reaches a job-reading verb.
-    fn may_see(&self, owner: Option<&str>) -> bool {
-        match &self.principal {
-            None => true, // tenancy disabled: every job is visible
-            Some(p) => p.admin || owner == Some(p.name.as_str()),
-        }
-    }
-}
-
 impl SharedState {
     /// Principal-scoped job lookup — the only jobs-map read path handlers
     /// may use (enforced by the `tenant-scoped` lint rule). A job outside
     /// the caller's scope is indistinguishable from a missing one, so
     /// cross-tenant probes cannot enumerate ids.
-    fn job_for(&self, id: JobId, auth: &ConnAuth) -> Option<Arc<Job>> {
+    fn job_for(&self, id: JobId, viewer: &Session<'_>) -> Option<Arc<Job>> {
         self.jobs
             .lock()
             .get(&id)
-            .filter(|job| auth.may_see(job.spec.principal.as_deref()))
+            .filter(|job| viewer.may_see(job.spec.principal.as_deref()))
             .cloned()
     }
 
     /// Principal-scoped job listing (see [`SharedState::job_for`]).
-    fn jobs_for(&self, auth: &ConnAuth) -> Vec<Arc<Job>> {
+    fn jobs_for(&self, viewer: &Session<'_>) -> Vec<Arc<Job>> {
         self.jobs
             .lock()
             .values()
-            .filter(|job| auth.may_see(job.spec.principal.as_deref()))
+            .filter(|job| viewer.may_see(job.spec.principal.as_deref()))
             .cloned()
             .collect()
     }
@@ -464,9 +435,8 @@ pub struct Server {
 
 /// Handle to a server whose accept loop runs in a background thread.
 pub struct ServerHandle {
-    addr: SocketAddr,
+    acceptor: Acceptor,
     state: Arc<SharedState>,
-    accept: Option<std::thread::JoinHandle<()>>,
     runners: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -490,7 +460,6 @@ impl Server {
         };
         let next_id = replayed.as_ref().map_or(1, |r| r.next_id);
         let principals = cfg.principals.clone();
-        let secrets = principals.as_ref().map(|s| s.tokens()).unwrap_or_default();
         // Per-tenant byte counters: the key set is fixed here — principals
         // file ∪ journaled totals ∪ the anonymous key — because the
         // terminal hook that updates them may not allocate map entries
@@ -559,17 +528,13 @@ impl Server {
                 queue_cond: OrderedCondvar::new(),
                 queue_cap: cfg.queue_cap.max(1),
                 cache: GraphCache::new(cfg.cache_cap),
-                shutdown: AtomicBool::new(false),
+                endpoint: Endpoint::new("kplexd", principals),
                 default_threads,
                 default_store,
                 retain_terminal: cfg.retain_terminal,
                 delivery_batch: cfg.delivery_batch.max(1),
                 journal,
                 recovered,
-                conns: OrderedMutex::new(Rank::ServerConns, "server-conns", BTreeMap::new()),
-                next_conn: AtomicU64::new(0),
-                principals,
-                secrets,
                 tenant_bytes,
                 cold_load_hook: cfg.cold_load_hook.clone(),
                 sched_metrics: Arc::new(SchedMetrics::default()),
@@ -600,24 +565,19 @@ impl Server {
     /// with the runner pool sized by [`ServerConfig::runners`].
     pub fn run(self) -> std::io::Result<()> {
         let _runners = self.spawn_runners();
-        accept_loop(&self.listener, &self.state);
+        session::accept_loop(&self.listener, &self.state);
         Ok(())
     }
 
     /// Runs the accept loop in a background thread and returns a handle
     /// (used by tests and the CLI smoke).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        let addr = self.local_addr()?;
-        let runner_handles = self.spawn_runners();
-        let state = self.state.clone();
-        let listener = self.listener;
-        let accept_state = state.clone();
-        let accept = std::thread::spawn(move || accept_loop(&listener, &accept_state));
+        let runners = self.spawn_runners();
+        let acceptor = Acceptor::spawn(self.listener, self.state.clone())?;
         Ok(ServerHandle {
-            addr,
-            state,
-            accept: Some(accept),
-            runners: runner_handles,
+            acceptor,
+            state: self.state,
+            runners,
         })
     }
 }
@@ -625,7 +585,7 @@ impl Server {
 impl ServerHandle {
     /// Where clients connect.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr
     }
 
     /// Stops accepting, cancels every live job, and joins the accept loop
@@ -646,14 +606,8 @@ impl ServerHandle {
         self.teardown(true);
     }
 
-    fn teardown(mut self, sever: bool) {
-        self.state.shutdown.store(true, Ordering::Release);
-        if sever {
-            let conns = self.state.conns.lock();
-            for conn in conns.values() {
-                let _ = conn.shutdown(std::net::Shutdown::Both);
-            }
-        }
+    fn teardown(self, sever: bool) {
+        self.state.endpoint.begin_shutdown(sever);
         // Cancel live jobs so runners and streamers unblock quickly.
         // tenant: teardown spans every tenant by design.
         let jobs: Vec<Arc<Job>> = self.state.jobs.lock().values().cloned().collect();
@@ -663,148 +617,47 @@ impl ServerHandle {
             }
         }
         self.state.queue_cond.notify_all();
-        // Poke the accept loop out of `accept()`.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
+        self.acceptor.join();
+        for h in self.runners {
             let _ = h.join();
-        }
-        for h in self.runners.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<SharedState>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if state.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // Register the connection so `kill()` can sever it; the
-                // handler thread deregisters itself on exit, keeping the
-                // registry bounded by *open* connections.
-                // ordering: connection ids only need uniqueness, nothing
-                // else is published through this counter.
-                let conn_id = state.next_conn.fetch_add(1, Ordering::Relaxed);
-                if let Ok(clone) = stream.try_clone() {
-                    state.conns.lock().insert(conn_id, clone);
-                }
-                let state = state.clone();
-                std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &state);
-                    state.conns.lock().remove(&conn_id);
-                });
-            }
-            Err(_) if state.shutdown.load(Ordering::Acquire) => return,
-            Err(_) => continue,
         }
     }
 }
 
 // --- connection handling ----------------------------------------------------
 
-fn write_line<W: Write>(stream: &mut W, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
-}
+impl Handler for SharedState {
+    fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
 
-fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    let mut auth = ConnAuth::default();
-    // Every reply line leaves through this chokepoint, scrubbed of every
-    // registered token — the no-token-ever-echoed guarantee does not rely
-    // on each handler remembering to redact. (Result NDJSON lines stream
-    // through `stream_job`'s buffered fast path instead; they are vertex
-    // id arrays and framing, with no client- or operator-supplied text.)
-    let reply = |writer: &mut TcpStream, line: &str| -> std::io::Result<()> {
-        if state.secrets.is_empty() {
-            write_line(writer, line)
-        } else {
-            write_line(writer, &protocol::redact_secrets(line, &state.secrets))
-        }
-    };
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let req = match protocol::parse_request(&line) {
-            Ok(req) => req,
-            Err(e) => {
-                reply(&mut writer, &format!("ERR {e}"))?;
-                continue;
-            }
-        };
-        // The auth gate: with tenancy enabled, every verb except
-        // PING/QUIT/AUTH requires a successful AUTH on this connection.
-        if state.principals.is_some()
-            && auth.principal.is_none()
-            && !matches!(req, Request::Ping | Request::Quit | Request::Auth(_))
-        {
-            reply(&mut writer, "ERR authentication required (AUTH <token>)")?;
-            continue;
-        }
-        match req {
-            Request::Quit => {
-                reply(&mut writer, "OK bye")?;
-                return Ok(());
-            }
-            Request::Ping => reply(&mut writer, "OK pong")?,
-            Request::Auth(token) => {
-                let resp = match &state.principals {
-                    None => {
-                        "ERR authentication disabled (start kplexd with --principals)".to_string()
-                    }
-                    Some(store) => match store.authenticate(&token) {
-                        Some(p) => {
-                            auth.principal = Some(p.clone());
-                            format!(
-                                "OK principal={} weight={} admin={}",
-                                p.name, p.weight, p.admin
-                            )
-                        }
-                        // Deliberately does not echo the presented token.
-                        None => "ERR unknown token".to_string(),
-                    },
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::Submit(args) => {
-                let resp = match submit(state, &args, &auth) {
-                    Ok(id) => format!("OK id={id} state=queued"),
-                    Err(e) => format!("ERR {e}"),
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::Status(id) => {
-                let resp = match state.job_for(id, &auth) {
-                    Some(job) => status_line(&job, &state.secrets),
-                    None => format!("ERR no such job {id}"),
-                };
-                reply(&mut writer, &resp)?;
-            }
-            Request::Cancel(id) => {
-                let resp = match state.job_for(id, &auth) {
-                    Some(job) => {
-                        job.request_cancel();
-                        // A job cancelled while queued must also free its
-                        // bounded-queue slot, or dead jobs hold capacity
-                        // against new submissions until a runner pops them.
-                        state.queue.lock().remove_queued(id);
-                        // A queued job dies inside `request_cancel`, which
-                        // fires the terminal hook — the journal END record
-                        // is already written by the time we reply.
-                        let snap = job.snapshot();
-                        format!("OK id={id} state={}", snap.state.label())
-                    }
-                    None => format!("ERR no such job {id}"),
-                };
-                reply(&mut writer, &resp)?;
-            }
+    fn handle(self: &Arc<Self>, session: &mut Session<'_>, req: Request) -> std::io::Result<()> {
+        let resp = match req {
+            Request::Submit(args) => match submit(self, &args, session) {
+                Ok(id) => format!("OK id={id} state=queued"),
+                Err(e) => format!("ERR {e}"),
+            },
+            Request::Status(id) => match self.job_for(id, session) {
+                Some(job) => status_line(&job, &self.endpoint.secrets),
+                None => format!("ERR no such job {id}"),
+            },
+            Request::Cancel(id) => match self.job_for(id, session) {
+                Some(job) => {
+                    job.request_cancel();
+                    // A job cancelled while queued must also free its
+                    // bounded-queue slot, or dead jobs hold capacity
+                    // against new submissions until a runner pops them.
+                    self.queue.lock().remove_queued(id);
+                    // A queued job dies inside `request_cancel`, which
+                    // fires the terminal hook — the journal END record is
+                    // already written by the time we reply.
+                    let snap = job.snapshot();
+                    format!("OK id={id} state={}", snap.state.label())
+                }
+                None => format!("ERR no such job {id}"),
+            },
             Request::List => {
-                let jobs = state.jobs_for(&auth);
+                let jobs = self.jobs_for(session);
                 for job in &jobs {
                     let s = job.snapshot();
                     let mut line = format!(
@@ -819,94 +672,95 @@ fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Re
                     if let Some(owner) = &job.spec.principal {
                         line.push_str(&format!(" principal={owner}"));
                     }
-                    reply(&mut writer, &line)?;
+                    session.reply(&line)?;
                 }
-                reply(&mut writer, &format!("END count={}", jobs.len()))?;
+                format!("END count={}", jobs.len())
             }
-            Request::Stats => {
-                let CacheStats {
-                    hits,
-                    coalesced,
-                    misses,
-                    entries,
-                    pending,
-                    waiting,
-                } = state.cache.stats();
-                // tenant: STATS is an aggregate view; it exposes counts and
-                // principal *names* (public), never job details or tokens.
-                let jobs = state.jobs.lock().len();
-                let depth = state.queue.lock().depth();
-                let recovered = state.recovered;
-                // Per-backend cache residency: total bytes plus a
-                // `label:entries:bytes` breakdown ("-" when the cache is
-                // empty — the grammar rejects empty values).
-                let agg = state.cache.store_stats();
-                let graph_bytes: u64 = agg.iter().map(|&(_, _, b)| b).sum();
-                let store = if agg.is_empty() {
-                    "-".to_string()
-                } else {
-                    agg.iter()
-                        .map(|&(l, c, b)| format!("{l}:{c}:{b}"))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                // Work-stealing engine counters, cumulative over every job
-                // this server lifetime has run (they do not survive
-                // restarts — unlike tenant bytes they are not journaled).
-                let sm = &state.sched_metrics;
-                let mut line = format!(
-                    "OK jobs={jobs} queue-depth={depth} recovered={recovered} \
-                     cache-hits={hits} cache-coalesced={coalesced} \
-                     cache-misses={misses} cache-entries={entries} \
-                     cache-pending={pending} cache-waiting={waiting} \
-                     graph-bytes={graph_bytes} store={store} \
-                     sched-steals={} sched-injector-steals={} \
-                     sched-parks={} sched-unparks={}",
-                    sm.steals(),
-                    sm.injector_steals(),
-                    sm.parks(),
-                    sm.unparks()
-                );
-                // Tenant accounting block, present only with a principal
-                // store (an anonymous server's STATS stays byte-identical).
-                if let Some(store) = &state.principals {
-                    line.push_str(&format!(" tenants={}", store.len()));
-                    let queue = state.queue.lock();
-                    for (i, p) in store.principals().iter().enumerate() {
-                        let (queued, running) = queue
-                            .lanes
-                            .get(&p.name)
-                            .map(|l| (l.deque.len() + l.reserved, l.running))
-                            .unwrap_or((0, 0));
-                        // ordering: the counter is a standalone monotone
-                        // statistic; Acquire pairs with the hook's AcqRel.
-                        let bytes = state
-                            .tenant_bytes
-                            .get(&p.name)
-                            .map(|c| c.load(Ordering::Acquire))
-                            .unwrap_or(0);
-                        line.push_str(&format!(
-                            " tenant{i}-name={} tenant{i}-queued={queued} \
-                             tenant{i}-running={running} tenant{i}-bytes={bytes}",
-                            p.name
-                        ));
-                    }
-                }
-                reply(&mut writer, &line)?;
-            }
+            Request::Stats => stats(self),
             Request::AddNode(_) | Request::DropNode(_) | Request::Nodes | Request::Rebalance => {
-                reply(
-                    &mut writer,
-                    "ERR router-only verb (this is a kplexd backend, not a kplexr router)",
-                )?;
+                "ERR router-only verb (this is a kplexd backend, not a kplexr router)".to_string()
             }
-            Request::Stream(id, from) => match state.job_for(id, &auth) {
-                Some(job) => stream_job(&mut writer, state, &job, from)?,
-                None => reply(&mut writer, &format!("ERR no such job {id}"))?,
+            Request::Stream(id, from) => match self.job_for(id, session) {
+                Some(job) => return stream_job(session.writer(), self, &job, from),
+                None => format!("ERR no such job {id}"),
             },
+            // Answered by the session layer; never routed here.
+            Request::Ping | Request::Quit | Request::Auth(_) => return Ok(()),
+        };
+        session.reply(&resp)
+    }
+}
+
+fn stats(state: &SharedState) -> String {
+    let CacheStats {
+        hits,
+        coalesced,
+        misses,
+        entries,
+        pending,
+        waiting,
+    } = state.cache.stats();
+    // tenant: STATS is an aggregate view; it exposes counts and
+    // principal *names* (public), never job details or tokens.
+    let jobs = state.jobs.lock().len();
+    let depth = state.queue.lock().depth();
+    let recovered = state.recovered;
+    // Per-backend cache residency: total bytes plus a
+    // `label:entries:bytes` breakdown ("-" when the cache is
+    // empty — the grammar rejects empty values).
+    let agg = state.cache.store_stats();
+    let graph_bytes: u64 = agg.iter().map(|&(_, _, b)| b).sum();
+    let store = if agg.is_empty() {
+        "-".to_string()
+    } else {
+        agg.iter()
+            .map(|&(l, c, b)| format!("{l}:{c}:{b}"))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    // Work-stealing engine counters, cumulative over every job
+    // this server lifetime has run (they do not survive
+    // restarts — unlike tenant bytes they are not journaled).
+    let sm = &state.sched_metrics;
+    let mut line = format!(
+        "OK jobs={jobs} queue-depth={depth} recovered={recovered} \
+         cache-hits={hits} cache-coalesced={coalesced} \
+         cache-misses={misses} cache-entries={entries} \
+         cache-pending={pending} cache-waiting={waiting} \
+         graph-bytes={graph_bytes} store={store} \
+         sched-steals={} sched-injector-steals={} \
+         sched-parks={} sched-unparks={}",
+        sm.steals(),
+        sm.injector_steals(),
+        sm.parks(),
+        sm.unparks()
+    );
+    // Tenant accounting block, present only with a principal
+    // store (an anonymous server's STATS stays byte-identical).
+    if let Some(store) = &state.endpoint.principals {
+        line.push_str(&format!(" tenants={}", store.len()));
+        let queue = state.queue.lock();
+        for (i, p) in store.principals().iter().enumerate() {
+            let (queued, running) = queue
+                .lanes
+                .get(&p.name)
+                .map(|l| (l.deque.len() + l.reserved, l.running))
+                .unwrap_or((0, 0));
+            // ordering: the counter is a standalone monotone
+            // statistic; Acquire pairs with the hook's AcqRel.
+            let bytes = state
+                .tenant_bytes
+                .get(&p.name)
+                .map(|c| c.load(Ordering::Acquire))
+                .unwrap_or(0);
+            line.push_str(&format!(
+                " tenant{i}-name={} tenant{i}-queued={queued} \
+                 tenant{i}-running={running} tenant{i}-bytes={bytes}",
+                p.name
+            ));
         }
     }
-    Ok(())
+    line
 }
 
 fn status_line(job: &Job, secrets: &[String]) -> String {
@@ -967,7 +821,7 @@ fn stream_job(
     from: u64,
 ) -> std::io::Result<()> {
     // Result lines go through a buffer (one syscall per ~8 KiB instead of
-    // two per plex — this is the 10^6-results path). The buffer is flushed
+    // one per plex — this is the 10^6-results path). The buffer is flushed
     // whenever the job has nothing new (Idle) and at the end, so a live
     // follower still sees results promptly.
     let mut out = std::io::BufWriter::new(writer);
@@ -1023,7 +877,7 @@ fn stream_job(
             StreamStep::Idle => {
                 note_delivered(sent, &mut journaled);
                 out.flush()?;
-                if state.shutdown.load(Ordering::Acquire) {
+                if state.endpoint.shutting_down() {
                     return write_line(&mut out, "ERR server shutting down")
                         .and_then(|()| out.flush());
                 }
@@ -1034,49 +888,16 @@ fn stream_job(
 
 // --- submission -------------------------------------------------------------
 
-/// Resolves the principal a submission runs **as**: the authenticated one,
-/// unless an admin tags another principal's name (the router's proxy
-/// path). Returns the effective principal, or `None` for the anonymous
-/// server.
-fn effective_principal(
-    state: &SharedState,
+fn submit(
+    state: &Arc<SharedState>,
     args: &SubmitArgs,
-    auth: &ConnAuth,
-) -> Result<Option<crate::auth::Principal>, String> {
-    let Some(store) = &state.principals else {
-        if args.principal.is_some() {
-            return Err("principal= requires a server started with --principals".into());
-        }
-        return Ok(None);
-    };
-    let Some(me) = &auth.principal else {
-        // Unreachable past the connection's auth gate; kept as defense.
-        return Err("authentication required (AUTH <token>)".into());
-    };
-    match &args.principal {
-        None => Ok(Some(me.clone())),
-        Some(tag) if *tag == me.name => Ok(Some(me.clone())),
-        Some(tag) => {
-            if !me.admin {
-                return Err(
-                    "only an admin principal may submit on another principal's behalf".into(),
-                );
-            }
-            store
-                .by_name(tag)
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| format!("unknown principal {tag:?}"))
-        }
-    }
-}
-
-fn submit(state: &Arc<SharedState>, args: &SubmitArgs, auth: &ConnAuth) -> Result<JobId, String> {
-    if state.shutdown.load(Ordering::Acquire) {
+    session: &Session<'_>,
+) -> Result<JobId, String> {
+    if state.endpoint.shutting_down() {
         // The runner pool is gone; accepting would queue the job forever.
         return Err("server shutting down".into());
     }
-    let principal = effective_principal(state, args, auth)?;
+    let principal = session.effective_principal(args)?;
     let mut spec = validate(state.default_threads, state.default_store, args)?;
     spec.principal = principal.as_ref().map(|p| p.name.clone());
     // What the journal must remember is the *effective* principal — an
@@ -1209,7 +1030,7 @@ fn runner_loop(state: &Arc<SharedState>) {
         let (id, lane_key) = {
             let mut queue = state.queue.lock();
             loop {
-                if state.shutdown.load(Ordering::Acquire) {
+                if state.endpoint.shutting_down() {
                     return;
                 }
                 // Deficit-round-robin pop; `None` also covers the

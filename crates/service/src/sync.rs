@@ -21,7 +21,7 @@
 //! |-----:|------|------------|
 //! | 10 | `RouterNodes` (`router.rs` backend list) | snapshotting live backends; never while talking to a backend |
 //! | 20 | `RouterJobs` (`router.rs` routing table) | recording placements; backend snapshots are taken **before** this lock |
-//! | 30 | `ServerConns` (`server.rs` open connections) | registering/severing sockets at teardown |
+//! | 30 | `ServerConns` (`session.rs` open connections, one registry in `kplexd` and one in `kplexr`) | registering/severing sockets at accept, connection exit and teardown |
 //! | 40 | `ServerQueue` (`server.rs` admission queue + reservation count) | admission control and runner dispatch |
 //! | 50 | `ServerJobs` (`server.rs` job table) | the submit path holds `ServerQueue` while inserting here (two-phase admission), hence Queue < Jobs |
 //! | 60 | `JobProgress` (`job.rs` per-job state) | the submit path inspects per-job state (eviction filter) under `ServerJobs`, hence Jobs < Progress |
@@ -67,7 +67,9 @@ pub enum Rank {
     /// `kplexr` routing table; always after `RouterNodes` because failover
     /// consults the live-backend snapshot while rerouting jobs.
     RouterJobs = 20,
-    /// `kplexd` open-connection registry, used only by accept/teardown.
+    /// Open-connection registry of the session layer (`kplexd` and
+    /// `kplexr` each own one), used only by accept, connection exit and
+    /// teardown; never held with another lock.
     ServerConns = 30,
     /// `kplexd` admission queue plus its in-flight reservation count; the
     /// two-phase submit holds this while inserting into the job table.

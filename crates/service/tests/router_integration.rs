@@ -2,8 +2,8 @@
 //! (asserted against the exported placement function), warm-cache affinity
 //! across resubmissions, queued-job failover when a backend dies, the
 //! ADDNODE/DROPNODE admin surface, proactive health probing with flap
-//! suppression, and active rebalancing of queued jobs on topology changes.
-//! All listeners bind port 0.
+//! suppression, active rebalancing of queued jobs on topology changes, and
+//! the request-line cap both tiers share. All listeners bind port 0.
 
 use kplex_core::{enumerate_count, AlgoConfig, Params};
 use kplex_service::router::{pick_backend, routing_key};
@@ -11,6 +11,8 @@ use kplex_service::{
     Client, ClientError, ProbeConfig, Router, RouterConfig, Server, ServerConfig, ServerHandle,
     SubmitArgs,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn start_backend(runners: usize) -> ServerHandle {
@@ -682,4 +684,33 @@ fn probe_rejoin_revives_a_backend_and_rebalances() {
     router.shutdown();
     a.shutdown();
     revived.shutdown();
+}
+
+/// A peer that streams bytes without a newline is answered `ERR line too
+/// long` once it passes the request-line cap and is disconnected, instead
+/// of growing a buffer until the process runs out of memory; the server
+/// goes on serving fresh connections. Checked on kplexd and on kplexr.
+#[test]
+fn overlong_request_line_is_refused_by_backend_and_router() {
+    let backend = start_backend(1);
+    let router = start_router(&[backend.addr().to_string()]);
+    for (tier, addr) in [("kplexd", backend.addr()), ("kplexr", router.addr())] {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        // The server hangs up after the cap, so this write may fail part
+        // way with a reset; only the reply matters.
+        let _ = conn.write_all(&vec![b'x'; 1 << 20]);
+        let mut reply = String::new();
+        BufReader::new(&conn)
+            .read_line(&mut reply)
+            .expect("read the refusal");
+        assert_eq!(reply, "ERR line too long\n", "{tier}");
+        let mut fresh = Client::connect(addr).expect("reconnect");
+        fresh
+            .ping()
+            .unwrap_or_else(|e| panic!("{tier}: PING after refusal: {e}"));
+    }
+    router.shutdown();
+    backend.shutdown();
 }
